@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Wire-layout invariant gate: compiles scripts/wire_layout_probe.cc with
 # -fsyntax-only, which re-evaluates the static_assert chain freezing the
-# v4 envelope offsets in src/service/transport.h. Then the negative leg:
+# v5 envelope offsets in src/service/transport.h. Then the negative leg:
 # the same probe with -DDBSA_WIRE_PROBE_BAD asserts a wrong layout and
 # MUST fail to compile — a gate that cannot fail is no gate.
 #

@@ -396,21 +396,6 @@ AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
   return answer;
 }
 
-join::ResultRange ExecuteCountInPolygon(const ShardedState& sharded,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const ExecHooks& hooks) {
-  return ExecuteCount(sharded, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .range;
-}
-
-std::vector<uint32_t> ExecuteSelectInPolygon(const ShardedState& sharded,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const ExecHooks& hooks) {
-  return ExecuteSelect(sharded, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .ids;
-}
-
 AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
                                  Attr attr, const query::ErrorBound& bound,
                                  Mode mode, const ExecHooks& hooks) {

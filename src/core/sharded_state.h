@@ -223,15 +223,6 @@ AggregateAnswer ExecuteAggregate(const ShardedState& sharded, join::AggKind agg,
                                  Attr attr, double epsilon, Mode mode = Mode::kAuto,
                                  const ExecHooks& hooks = {});
 
-join::ResultRange ExecuteCountInPolygon(const ShardedState& sharded,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const ExecHooks& hooks = {});
-
-std::vector<uint32_t> ExecuteSelectInPolygon(const ShardedState& sharded,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const ExecHooks& hooks = {});
-
 // ---- v2 executors (typed distance-bound contract) ----------------------
 // Same envelope semantics as the EngineState versions in engine_state.h;
 // exact bounds never scatter — they execute against the base snapshot, so

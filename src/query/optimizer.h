@@ -1,15 +1,14 @@
 // The Section 4 optimization layer: the rasterized-canvas model and the
 // cell indexes give several physically different plans for the same
 // distance-bounded aggregation query; a simple cost model picks one from
-// the query parameters (distance bound, estimated selectivity, input
-// cardinalities) and explains its choice.
+// the query parameters (distance bound, input cardinalities, polygon
+// complexity) and explains its choice.
 
 #ifndef DBSA_QUERY_OPTIMIZER_H_
 #define DBSA_QUERY_OPTIMIZER_H_
 
+#include <cstddef>
 #include <string>
-
-#include "query/selectivity.h"
 
 namespace dbsa::query {
 

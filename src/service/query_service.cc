@@ -546,66 +546,4 @@ void QueryService::RewarmShard(size_t shard) {
   }
 }
 
-// ---- FROZEN v1 shims (conversion only; see service/v1_compat.h) --------
-
-std::future<core::AggregateAnswer> QueryService::Aggregate(join::AggKind agg,
-                                                           core::Attr attr,
-                                                           double epsilon,
-                                                           core::Mode mode) {
-  // Convert BEFORE capturing so geometry moves into the closure once.
-  const Request request = Request::MakeAggregate(agg, attr, epsilon, mode);
-  Query query = QueryFromV1(request);
-  ExecOptions options = OptionsFromV1(request);
-  const Clock::time_point submitted = Clock::now();
-  return pool_.Async([this, query = std::move(query),
-                      options = std::move(options), submitted]() {
-    Result result = RunQuery(0, query, options, submitted);
-    if (!result.ok()) ThrowLegacy(result.status);  // v1 exception contract.
-    return std::move(result.aggregate);
-  });
-}
-
-std::future<join::ResultRange> QueryService::CountInPolygon(geom::Polygon poly,
-                                                            double epsilon) {
-  Query query = Query::Count(std::move(poly));
-  ExecOptions options;
-  options.bound = query::ErrorBound::Absolute(epsilon);
-  const Clock::time_point submitted = Clock::now();
-  return pool_.Async(
-      [this, query = std::move(query), options = std::move(options), submitted]() {
-        Result result = RunQuery(0, query, options, submitted);
-        if (!result.ok()) ThrowLegacy(result.status);
-        return result.range;
-      });
-}
-
-std::future<std::vector<uint32_t>> QueryService::SelectInPolygon(geom::Polygon poly,
-                                                                 double epsilon) {
-  Query query = Query::Select(std::move(poly));
-  ExecOptions options;
-  options.bound = query::ErrorBound::Absolute(epsilon);
-  const Clock::time_point submitted = Clock::now();
-  return pool_.Async(
-      [this, query = std::move(query), options = std::move(options), submitted]() {
-        Result result = RunQuery(0, query, options, submitted);
-        if (!result.ok()) ThrowLegacy(result.status);
-        return std::move(result.ids);
-      });
-}
-
-uint64_t QueryService::Submit(Request request) {
-  ExecOptions options = OptionsFromV1(request);
-  return Submit(QueryFromV1(request), std::move(options));
-}
-
-std::vector<Response> QueryService::DrainResponses() {
-  std::vector<Result> results = Drain();
-  std::vector<Response> responses;
-  responses.reserve(results.size());
-  for (Result& result : results) {
-    responses.push_back(ResponseFromResult(std::move(result)));
-  }
-  return responses;
-}
-
 }  // namespace dbsa::service

@@ -14,9 +14,6 @@
 //     waits for everything outstanding and returns the Results in
 //     submission order (one per ticket, failures as statuses — a
 //     poisoned query can never lose a batch).
-//   * v1 shims      — the frozen Request/Response surface of
-//     service/v1_compat.h (Submit(Request), DrainResponses(), the typed
-//     futures below) forwards to the envelope unchanged for one release.
 //
 // Determinism: a service run with any thread count, shard count, fan-out
 // cap and deployment path (in-process, sharded, transport seam) returns
@@ -49,7 +46,6 @@
 #include "service/socket_transport.h"
 #include "service/thread_pool.h"
 #include "service/transport.h"
-#include "service/v1_compat.h"
 #include "util/thread_annotations.h"
 
 namespace dbsa::service {
@@ -241,17 +237,6 @@ class QueryService {
   /// Non-null iff the seam runs over TCP (TransportKind::kSocket):
   /// connection/failover/timeout counters and the placement in use.
   const SocketTransport* socket_transport() const { return socket_.get(); }
-
-  // ---- FROZEN v1 shims (service/v1_compat.h) -------------------------
-  std::future<core::AggregateAnswer> Aggregate(join::AggKind agg, core::Attr attr,
-                                               double epsilon,
-                                               core::Mode mode = core::Mode::kAuto);
-  std::future<join::ResultRange> CountInPolygon(geom::Polygon poly, double epsilon);
-  std::future<std::vector<uint32_t>> SelectInPolygon(geom::Polygon poly,
-                                                     double epsilon);
-  uint64_t Submit(Request request);
-  /// v1 Drain: the same tickets as Drain(), converted to Responses.
-  std::vector<Response> DrainResponses();
 
  private:
   using Clock = std::chrono::steady_clock;

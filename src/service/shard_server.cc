@@ -778,27 +778,4 @@ core::SelectAnswer ExecuteSelect(ShardRouter& router, const geom::Polygon& poly,
   return out;
 }
 
-core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
-                                       core::Attr attr, double epsilon,
-                                       core::Mode mode,
-                                       const core::ExecHooks& hooks) {
-  return ExecuteAggregate(router, agg, attr, query::ErrorBound::Absolute(epsilon),
-                          mode, hooks);
-}
-
-join::ResultRange ExecuteCountInPolygon(ShardRouter& router,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const core::ExecHooks& hooks) {
-  return ExecuteCount(router, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .range;
-}
-
-std::vector<uint32_t> ExecuteSelectInPolygon(ShardRouter& router,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const core::ExecHooks& hooks) {
-  return ExecuteSelect(router, poly, query::ErrorBound::Absolute(epsilon), hooks)
-      .ids;
-}
-
 }  // namespace dbsa::service

@@ -283,21 +283,6 @@ core::SelectAnswer ExecuteSelect(ShardRouter& router, const geom::Polygon& poly,
                                  const query::ErrorBound& bound,
                                  const core::ExecHooks& hooks = {});
 
-// Double-epsilon shims (the Absolute(epsilon) case).
-core::AggregateAnswer ExecuteAggregate(ShardRouter& router, join::AggKind agg,
-                                       core::Attr attr, double epsilon,
-                                       core::Mode mode = core::Mode::kAuto,
-                                       const core::ExecHooks& hooks = {});
-
-join::ResultRange ExecuteCountInPolygon(ShardRouter& router,
-                                        const geom::Polygon& poly, double epsilon,
-                                        const core::ExecHooks& hooks = {});
-
-std::vector<uint32_t> ExecuteSelectInPolygon(ShardRouter& router,
-                                             const geom::Polygon& poly,
-                                             double epsilon,
-                                             const core::ExecHooks& hooks = {});
-
 }  // namespace dbsa::service
 
 #endif  // DBSA_SERVICE_SHARD_SERVER_H_

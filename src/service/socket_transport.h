@@ -1,4 +1,4 @@
-// The real RPC leg of the shard seam: the wire-v4 frames of
+// The real RPC leg of the shard seam: the wire-v5 frames of
 // service/transport.h (normative byte spec: docs/wire-format.md) carried
 // over TCP sockets instead of in-process function calls.
 //

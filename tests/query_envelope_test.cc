@@ -8,9 +8,7 @@
 //     kAbsoluteDistance reproduces Grid::LevelForEpsilon snapping (one-ulp
 //     sweep), kExact bypasses approximation and matches brute force;
 //   * ExecOptions: deadlines and cancellation answer typed statuses,
-//     the shard fan-out cap never changes results;
-//   * the frozen v1 shim surface produces byte-identical answers to the
-//     native envelope.
+//     the shard fan-out cap never changes results.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +16,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,14 +29,8 @@ namespace {
 
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::Submission;
 using query::ErrorBound;
-
-/// One envelope submission: the descriptor plus its contract.
-struct Submission {
-  Query query;
-  ExecOptions options;
-  std::string label;
-};
 
 class QueryEnvelopeTest : public ::testing::Test {
  protected:
@@ -469,20 +460,6 @@ TEST_F(QueryEnvelopeTest, MalformedQueriesAnswerInvalidArgument) {
   EXPECT_EQ(drained[0].range.estimate, drained[2].range.estimate);
 }
 
-TEST_F(QueryEnvelopeTest, V1TypedFuturesKeepThrowingInvalidArgument) {
-  // The frozen v1 contract: validation failures surfaced as
-  // std::invalid_argument from future.get(). The shims must preserve the
-  // exception TYPE, not just the message — v1 catch handlers written
-  // against std::invalid_argument must keep firing.
-  QueryService service(state_, {});
-  std::future<core::AggregateAnswer> bad =
-      service.Aggregate(join::AggKind::kSum, core::Attr::kNone, 8.0);
-  EXPECT_THROW(bad.get(), std::invalid_argument);
-  const geom::Polygon degenerate(geom::Ring{{0, 0}, {10, 10}});
-  std::future<join::ResultRange> bad_count = service.CountInPolygon(degenerate, 8.0);
-  EXPECT_THROW(bad_count.get(), std::invalid_argument);
-}
-
 // ---- telemetry: observe-only tracing, slow-query log, metrics ----------
 
 TEST_F(QueryEnvelopeTest, TelemetryIsObserveOnlyOnEveryPath) {
@@ -620,45 +597,6 @@ TEST_F(QueryEnvelopeTest, RegistryCoversTheWholeServingStack) {
             std::string::npos);
   EXPECT_NE(text.find("dbsa_stage_ms_count{stage=\"shard_roundtrip\"}"),
             std::string::npos);
-}
-
-// ---- the frozen v1 shim ------------------------------------------------
-
-TEST_F(QueryEnvelopeTest, V1ShimMatchesNativeEnvelope) {
-  const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-  std::vector<Request> v1;
-  for (const double eps : {4.0, 16.0}) {
-    v1.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kFare,
-                                        eps, core::Mode::kPointIndex));
-    v1.push_back(Request::MakeCount(star, eps));
-    v1.push_back(Request::MakeSelect(star, eps));
-  }
-
-  ServiceOptions options;
-  options.num_threads = 4;
-  QueryService via_shim(state_, options);
-  QueryService native(state_, options);
-  for (const Request& req : v1) via_shim.Submit(req);
-  for (const Request& req : v1) {
-    native.Submit(QueryFromV1(req), OptionsFromV1(req));
-  }
-  const std::vector<Response> shim_responses = via_shim.DrainResponses();
-  const std::vector<Result> native_results = native.Drain();
-  ASSERT_EQ(shim_responses.size(), v1.size());
-  ASSERT_EQ(native_results.size(), v1.size());
-  for (size_t i = 0; i < v1.size(); ++i) {
-    const Response& s = shim_responses[i];
-    const Result& n = native_results[i];
-    ASSERT_TRUE(s.ok() && n.ok()) << i;
-    ASSERT_EQ(s.aggregate.rows.size(), n.aggregate.rows.size()) << i;
-    for (size_t r = 0; r < n.aggregate.rows.size(); ++r) {
-      EXPECT_EQ(s.aggregate.rows[r].value, n.aggregate.rows[r].value) << i;
-    }
-    EXPECT_EQ(s.range.estimate, n.range.estimate) << i;
-    EXPECT_EQ(s.range.lo, n.range.lo) << i;
-    EXPECT_EQ(s.range.hi, n.range.hi) << i;
-    EXPECT_EQ(s.ids, n.ids) << i;
-  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <future>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/dbsa.h"
@@ -122,6 +123,9 @@ TEST(ThreadPoolTest, ZeroAndOneIterationLoops) {
 
 // ----------------------------------------------------------- the service
 
+using dbsa::testing::Submission;
+using dbsa::testing::Within;
+
 class QueryServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -143,8 +147,8 @@ class QueryServiceTest : public ::testing::Test {
   /// The mixed workload both executors run. Explicit modes (not kAuto):
   /// the service advertises its HR cache to the optimizer, so kAuto may
   /// legitimately pick different plans than the engine.
-  std::vector<Request> MixedWorkload() const {
-    std::vector<Request> reqs;
+  std::vector<Submission> MixedWorkload() const {
+    std::vector<Submission> subs;
     const geom::Polygon star1 =
         dbsa::testing::MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
     const geom::Polygon star2 =
@@ -152,47 +156,46 @@ class QueryServiceTest : public ::testing::Test {
     for (const double eps : {4.0, 8.0, 16.0}) {
       for (const core::Mode mode :
            {core::Mode::kAct, core::Mode::kPointIndex, core::Mode::kCanvasBrj}) {
-        reqs.push_back(Request::MakeAggregate(join::AggKind::kCount,
-                                              core::Attr::kNone, eps, mode));
-        reqs.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kFare,
-                                              eps, mode));
-        reqs.push_back(Request::MakeAggregate(join::AggKind::kAvg,
-                                              core::Attr::kPassengers, eps, mode));
+        subs.push_back({Query::Aggregate(join::AggKind::kCount), Within(eps, mode)});
+        subs.push_back({Query::Aggregate(join::AggKind::kSum, core::Attr::kFare),
+                        Within(eps, mode)});
+        subs.push_back({Query::Aggregate(join::AggKind::kAvg, core::Attr::kPassengers),
+                        Within(eps, mode)});
       }
-      reqs.push_back(Request::MakeCount(star1, eps));
-      reqs.push_back(Request::MakeCount(star2, eps));
-      reqs.push_back(Request::MakeSelect(star1, eps));
+      subs.push_back({Query::Count(star1), Within(eps)});
+      subs.push_back({Query::Count(star2), Within(eps)});
+      subs.push_back({Query::Select(star1), Within(eps)});
     }
-    reqs.push_back(Request::MakeAggregate(join::AggKind::kCount, core::Attr::kNone,
-                                          /*epsilon=*/0.0, core::Mode::kExact));
-    return reqs;
+    subs.push_back({Query::Aggregate(join::AggKind::kCount),
+                    Within(/*eps=*/0.0, core::Mode::kExact)});
+    return subs;
   }
 
   /// Single-threaded reference execution through the engine façade.
-  Response Baseline(const Request& req) {
-    Response r;
-    r.kind = req.kind;
-    switch (req.kind) {
-      case Request::Kind::kAggregate:
-        r.aggregate = engine_.Aggregate(req.agg, req.attr, req.epsilon, req.mode);
-        break;
-      case Request::Kind::kCountInPolygon:
-        r.range = engine_.CountInPolygon(req.poly, req.epsilon);
-        break;
-      case Request::Kind::kSelectInPolygon:
-        r.ids = engine_.SelectInPolygon(req.poly, req.epsilon);
-        break;
-    }
+  Result Baseline(const Submission& sub) {
+    Result r;
+    r.kind = sub.query.kind();
+    const double eps = sub.options.bound.epsilon;
+    sub.query.Visit([&](const auto& spec) {
+      using Spec = std::decay_t<decltype(spec)>;
+      if constexpr (std::is_same_v<Spec, AggregateSpec>) {
+        r.aggregate = engine_.Aggregate(spec.agg, spec.attr, eps, sub.options.mode);
+      } else if constexpr (std::is_same_v<Spec, CountSpec>) {
+        r.range = engine_.CountInPolygon(spec.poly, eps);
+      } else {
+        r.ids = engine_.SelectInPolygon(spec.poly, eps);
+      }
+    });
     return r;
   }
 
   /// Byte-exact comparison of the query payloads (== on doubles, no
   /// tolerance: the determinism contract).
-  static void ExpectIdentical(const Response& got, const Response& want,
-                              size_t index) {
+  static void ExpectIdentical(const Result& got, const Result& want, size_t index) {
+    ASSERT_TRUE(got.ok()) << "request " << index << ": " << got.status.ToString();
     ASSERT_EQ(got.kind, want.kind) << "request " << index;
     switch (want.kind) {
-      case Request::Kind::kAggregate: {
+      case QueryKind::kAggregate: {
         ASSERT_EQ(got.aggregate.rows.size(), want.aggregate.rows.size())
             << "request " << index;
         for (size_t r = 0; r < want.aggregate.rows.size(); ++r) {
@@ -207,15 +210,24 @@ class QueryServiceTest : public ::testing::Test {
         }
         break;
       }
-      case Request::Kind::kCountInPolygon:
+      case QueryKind::kCount:
         EXPECT_EQ(got.range.estimate, want.range.estimate) << "request " << index;
         EXPECT_EQ(got.range.lo, want.range.lo) << "request " << index;
         EXPECT_EQ(got.range.hi, want.range.hi) << "request " << index;
         break;
-      case Request::Kind::kSelectInPolygon:
+      case QueryKind::kSelect:
         ASSERT_EQ(got.ids, want.ids) << "request " << index;
         break;
     }
+  }
+
+  /// One aggregate through the service's typed-future entry point.
+  static core::AggregateAnswer RunAggregate(QueryService& service, join::AggKind agg,
+                                            core::Attr attr, double eps,
+                                            core::Mode mode = core::Mode::kAuto) {
+    Result r = service.Execute(Query::Aggregate(agg, attr), Within(eps, mode)).get();
+    EXPECT_TRUE(r.ok()) << r.status.ToString();
+    return std::move(r.aggregate);
   }
 
   data::PointSet points_;
@@ -228,13 +240,13 @@ TEST_F(QueryServiceTest, EightThreadsByteMatchSingleThreadedEngine) {
   // cached approximations must not change a single bit of any answer.
   // (Via an explicit copy: self-range insert invalidates the source
   // iterators on reallocation and used to corrupt the duplicated half.)
-  std::vector<Request> workload = MixedWorkload();
-  const std::vector<Request> first_pass = workload;
+  std::vector<Submission> workload = MixedWorkload();
+  const std::vector<Submission> first_pass = workload;
   workload.insert(workload.end(), first_pass.begin(), first_pass.end());
 
-  std::vector<Response> expected;
+  std::vector<Result> expected;
   expected.reserve(workload.size());
-  for (const Request& req : workload) expected.push_back(Baseline(req));
+  for (const Submission& sub : workload) expected.push_back(Baseline(sub));
 
   ServiceOptions options;
   options.num_threads = 8;
@@ -244,13 +256,15 @@ TEST_F(QueryServiceTest, EightThreadsByteMatchSingleThreadedEngine) {
 
   std::vector<uint64_t> tickets;
   tickets.reserve(workload.size());
-  for (const Request& req : workload) tickets.push_back(service.Submit(req));
-  const std::vector<Response> responses = service.DrainResponses();
+  for (const Submission& sub : workload) {
+    tickets.push_back(service.Submit(sub.query, sub.options));
+  }
+  const std::vector<Result> results = service.Drain();
 
-  ASSERT_EQ(responses.size(), workload.size());
-  for (size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].ticket, tickets[i]) << "Drain must keep submit order";
-    ExpectIdentical(responses[i], expected[i], i);
+  ASSERT_EQ(results.size(), workload.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].ticket, tickets[i]) << "Drain must keep submit order";
+    ExpectIdentical(results[i], expected[i], i);
   }
 
   // The duplicated half must have found the region approximations in the
@@ -263,26 +277,31 @@ TEST_F(QueryServiceTest, EightThreadsByteMatchSingleThreadedEngine) {
 
 TEST_F(QueryServiceTest, TypedFutureInterface) {
   QueryService service(engine_.Snapshot(), {});
-  std::future<core::AggregateAnswer> agg = service.Aggregate(
-      join::AggKind::kCount, core::Attr::kNone, 8.0, core::Mode::kPointIndex);
+  std::future<Result> agg = service.Execute(Query::Aggregate(join::AggKind::kCount),
+                                            Within(8.0, core::Mode::kPointIndex));
   const geom::Polygon star =
       dbsa::testing::MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
-  std::future<join::ResultRange> range = service.CountInPolygon(star, 8.0);
-  std::future<std::vector<uint32_t>> ids = service.SelectInPolygon(star, 8.0);
+  std::future<Result> range = service.Execute(Query::Count(star), Within(8.0));
+  std::future<Result> ids = service.Execute(Query::Select(star), Within(8.0));
 
   const core::AggregateAnswer engine_agg =
       engine_.Aggregate(join::AggKind::kCount, core::Attr::kNone, 8.0,
                         core::Mode::kPointIndex);
-  const core::AggregateAnswer service_agg = agg.get();
-  ASSERT_EQ(service_agg.rows.size(), engine_agg.rows.size());
+  const Result service_agg = agg.get();
+  ASSERT_TRUE(service_agg.ok()) << service_agg.status.ToString();
+  EXPECT_EQ(service_agg.kind, QueryKind::kAggregate);
+  ASSERT_EQ(service_agg.aggregate.rows.size(), engine_agg.rows.size());
   for (size_t r = 0; r < engine_agg.rows.size(); ++r) {
-    EXPECT_EQ(service_agg.rows[r].value, engine_agg.rows[r].value);
+    EXPECT_EQ(service_agg.aggregate.rows[r].value, engine_agg.rows[r].value);
   }
   const join::ResultRange engine_range = engine_.CountInPolygon(star, 8.0);
-  const join::ResultRange service_range = range.get();
-  EXPECT_EQ(service_range.lo, engine_range.lo);
-  EXPECT_EQ(service_range.hi, engine_range.hi);
-  EXPECT_EQ(ids.get(), engine_.SelectInPolygon(star, 8.0));
+  const Result service_range = range.get();
+  ASSERT_TRUE(service_range.ok()) << service_range.status.ToString();
+  EXPECT_EQ(service_range.range.lo, engine_range.lo);
+  EXPECT_EQ(service_range.range.hi, engine_range.hi);
+  const Result service_ids = ids.get();
+  ASSERT_TRUE(service_ids.ok()) << service_ids.status.ToString();
+  EXPECT_EQ(service_ids.ids, engine_.SelectInPolygon(star, 8.0));
 }
 
 TEST_F(QueryServiceTest, WarmCacheMakesAggregatesMissFree) {
@@ -292,10 +311,8 @@ TEST_F(QueryServiceTest, WarmCacheMakesAggregatesMissFree) {
   EXPECT_EQ(service.cache_stats().misses, polys);
 
   const core::AggregateAnswer answer =
-      service
-          .Aggregate(join::AggKind::kCount, core::Attr::kNone, 8.0,
-                     core::Mode::kPointIndex)
-          .get();
+      RunAggregate(service, join::AggKind::kCount, core::Attr::kNone, 8.0,
+                   core::Mode::kPointIndex);
   EXPECT_EQ(answer.stats.hr_cache_misses, 0u);
   EXPECT_EQ(answer.stats.hr_cache_hits, polys);
 }
@@ -304,69 +321,67 @@ TEST_F(QueryServiceTest, ColdAggregateReportsMissesThenHits) {
   QueryService service(engine_.Snapshot(), {});
   const size_t polys = service.state().regions->NumPolygons();
   const core::AggregateAnswer cold =
-      service
-          .Aggregate(join::AggKind::kCount, core::Attr::kNone, 8.0,
-                     core::Mode::kPointIndex)
-          .get();
+      RunAggregate(service, join::AggKind::kCount, core::Attr::kNone, 8.0,
+                   core::Mode::kPointIndex);
   EXPECT_EQ(cold.stats.hr_cache_misses, polys);
   const core::AggregateAnswer warm =
-      service
-          .Aggregate(join::AggKind::kCount, core::Attr::kNone, 8.0,
-                     core::Mode::kPointIndex)
-          .get();
+      RunAggregate(service, join::AggKind::kCount, core::Attr::kNone, 8.0,
+                   core::Mode::kPointIndex);
   EXPECT_EQ(warm.stats.hr_cache_misses, 0u);
   EXPECT_EQ(warm.stats.hr_cache_hits, polys);
 }
 
 TEST_F(QueryServiceTest, DrainSurvivesPoisonedQueriesMidBatch) {
   // Regression: Drain used to call future.get() bare — the first
-  // throwing query aborted the drain, lost every later response and left
+  // throwing query aborted the drain, lost every later result and left
   // the abandoned futures to block elsewhere. Now each failed ticket
-  // surfaces as an error Response in its submission slot and the drain
+  // surfaces as a typed Status in its submission slot and the drain
   // completes.
   QueryService service(engine_.Snapshot(), {});
   const geom::Polygon star =
       dbsa::testing::MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   const geom::Polygon degenerate(geom::Ring{{0, 0}, {10, 10}});  // 2 vertices.
 
-  std::vector<Request> workload;
-  workload.push_back(Request::MakeCount(star, 8.0));  // Good.
-  workload.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kNone,
-                                            8.0));    // Poisoned: SUM w/o column.
-  workload.push_back(Request::MakeCount(star, 8.0));  // Good.
-  workload.push_back(Request::MakeCount(degenerate, 8.0));  // Poisoned: 2 vertices.
-  workload.push_back(Request::MakeSelect(star, 8.0));       // Good.
+  std::vector<Submission> workload;
+  workload.push_back({Query::Count(star), Within(8.0)});  // Good.
+  workload.push_back({Query::Aggregate(join::AggKind::kSum),
+                      Within(8.0)});                      // Poisoned: SUM w/o column.
+  workload.push_back({Query::Count(star), Within(8.0)});  // Good.
+  workload.push_back({Query::Count(degenerate), Within(8.0)});  // Poisoned: 2 vertices.
+  workload.push_back({Query::Select(star), Within(8.0)});       // Good.
 
   std::vector<uint64_t> tickets;
-  for (const Request& req : workload) tickets.push_back(service.Submit(req));
-  const std::vector<Response> responses = service.DrainResponses();
-
-  ASSERT_EQ(responses.size(), workload.size());  // No ticket lost.
-  for (size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].ticket, tickets[i]) << "ticket order kept, slot " << i;
-    EXPECT_EQ(responses[i].kind, workload[i].kind) << "slot " << i;
+  for (const Submission& sub : workload) {
+    tickets.push_back(service.Submit(sub.query, sub.options));
   }
-  EXPECT_TRUE(responses[0].ok());
-  EXPECT_FALSE(responses[1].ok());
-  EXPECT_NE(responses[1].error.find("attribute"), std::string::npos)
-      << responses[1].error;
-  EXPECT_TRUE(responses[2].ok());
-  EXPECT_FALSE(responses[3].ok());
-  EXPECT_NE(responses[3].error.find("vertices"), std::string::npos)
-      << responses[3].error;
-  EXPECT_TRUE(responses[4].ok());
+  const std::vector<Result> results = service.Drain();
 
-  // The good responses are untouched by their poisoned neighbours.
+  ASSERT_EQ(results.size(), workload.size());  // No ticket lost.
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].ticket, tickets[i]) << "ticket order kept, slot " << i;
+    EXPECT_EQ(results[i].kind, workload[i].query.kind()) << "slot " << i;
+  }
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_EQ(results[1].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(results[1].status.message().find("attribute"), std::string::npos)
+      << results[1].status.ToString();
+  EXPECT_TRUE(results[2].ok());
+  EXPECT_EQ(results[3].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(results[3].status.message().find("vertices"), std::string::npos)
+      << results[3].status.ToString();
+  EXPECT_TRUE(results[4].ok());
+
+  // The good results are untouched by their poisoned neighbours.
   const join::ResultRange want = engine_.CountInPolygon(star, 8.0);
   for (const size_t good : {size_t{0}, size_t{2}}) {
-    EXPECT_EQ(responses[good].range.lo, want.lo);
-    EXPECT_EQ(responses[good].range.hi, want.hi);
+    EXPECT_EQ(results[good].range.lo, want.lo);
+    EXPECT_EQ(results[good].range.hi, want.hi);
   }
-  EXPECT_EQ(responses[4].ids, engine_.SelectInPolygon(star, 8.0));
+  EXPECT_EQ(results[4].ids, engine_.SelectInPolygon(star, 8.0));
 
   // And the service stays fully usable after a poisoned batch.
-  service.Submit(Request::MakeCount(star, 8.0));
-  const std::vector<Response> after = service.DrainResponses();
+  service.Submit(Query::Count(star), Within(8.0));
+  const std::vector<Result> after = service.Drain();
   ASSERT_EQ(after.size(), 1u);
   EXPECT_TRUE(after[0].ok());
   EXPECT_EQ(after[0].range.hi, want.hi);
@@ -381,11 +396,9 @@ TEST_F(QueryServiceTest, SharedSnapshotServesManyServices) {
   QueryService a(snapshot, options);
   QueryService b(snapshot, options);
   const core::AggregateAnswer ra =
-      a.Aggregate(join::AggKind::kSum, core::Attr::kFare, 8.0, core::Mode::kAct)
-          .get();
+      RunAggregate(a, join::AggKind::kSum, core::Attr::kFare, 8.0, core::Mode::kAct);
   const core::AggregateAnswer rb =
-      b.Aggregate(join::AggKind::kSum, core::Attr::kFare, 8.0, core::Mode::kAct)
-          .get();
+      RunAggregate(b, join::AggKind::kSum, core::Attr::kFare, 8.0, core::Mode::kAct);
   ASSERT_EQ(ra.rows.size(), rb.rows.size());
   for (size_t r = 0; r < ra.rows.size(); ++r) {
     EXPECT_EQ(ra.rows[r].value, rb.rows[r].value);
@@ -397,7 +410,7 @@ TEST_F(QueryServiceTest, AutoModeUsesTheCacheAdvertisement) {
   // design); just that kAuto works end to end and explains itself.
   QueryService service(engine_.Snapshot(), {});
   const core::AggregateAnswer answer =
-      service.Aggregate(join::AggKind::kCount, core::Attr::kNone, 8.0).get();
+      RunAggregate(service, join::AggKind::kCount, core::Attr::kNone, 8.0);
   EXPECT_FALSE(answer.stats.explain.empty());
   EXPECT_FALSE(answer.rows.empty());
 }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/dbsa.h"
@@ -26,6 +27,9 @@ namespace {
 
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::Submission;
+using dbsa::testing::Within;
+using query::ErrorBound;
 
 void ExpectRowsIdentical(const core::AggregateAnswer& got,
                          const core::AggregateAnswer& want,
@@ -118,36 +122,37 @@ TEST_F(ShardServerTest, LoopbackByteMatchesInProcessShardedEverywhere) {
       for (const double eps : epsilons) {
         ExpectRowsIdentical(
             ExecuteAggregate(*seam.router, join::AggKind::kCount, core::Attr::kNone,
-                             eps, core::Mode::kPointIndex, hooks),
+                             ErrorBound::Absolute(eps), core::Mode::kPointIndex, hooks),
             core::ExecuteAggregate(*seam.sharded, join::AggKind::kCount,
                                    core::Attr::kNone, eps, core::Mode::kPointIndex,
                                    hooks),
             label + " count eps=" + std::to_string(eps));
         ExpectRowsIdentical(
             ExecuteAggregate(*seam.router, join::AggKind::kSum, core::Attr::kFare,
-                             eps, core::Mode::kPointIndex, hooks),
+                             ErrorBound::Absolute(eps), core::Mode::kPointIndex, hooks),
             core::ExecuteAggregate(*seam.sharded, join::AggKind::kSum,
                                    core::Attr::kFare, eps, core::Mode::kPointIndex,
                                    hooks),
             label + " sum eps=" + std::to_string(eps));
         ExpectRowsIdentical(
             ExecuteAggregate(*seam.router, join::AggKind::kAvg, core::Attr::kFare,
-                             eps, core::Mode::kPointIndex, hooks),
+                             ErrorBound::Absolute(eps), core::Mode::kPointIndex, hooks),
             core::ExecuteAggregate(*seam.sharded, join::AggKind::kAvg,
                                    core::Attr::kFare, eps, core::Mode::kPointIndex,
                                    hooks),
             label + " avg eps=" + std::to_string(eps));
 
         for (size_t p = 0; p < polys.size(); ++p) {
+          const ErrorBound bound = ErrorBound::Absolute(eps);
           const join::ResultRange got =
-              ExecuteCountInPolygon(*seam.router, polys[p], eps, hooks);
+              ExecuteCount(*seam.router, polys[p], bound, hooks).range;
           const join::ResultRange want =
-              core::ExecuteCountInPolygon(*seam.sharded, polys[p], eps, hooks);
+              core::ExecuteCount(*seam.sharded, polys[p], bound, hooks).range;
           EXPECT_EQ(got.estimate, want.estimate) << label << " poly " << p;
           EXPECT_EQ(got.lo, want.lo) << label << " poly " << p;
           EXPECT_EQ(got.hi, want.hi) << label << " poly " << p;
-          EXPECT_EQ(ExecuteSelectInPolygon(*seam.router, polys[p], eps, hooks),
-                    core::ExecuteSelectInPolygon(*seam.sharded, polys[p], eps, hooks))
+          EXPECT_EQ(ExecuteSelect(*seam.router, polys[p], bound, hooks).ids,
+                    core::ExecuteSelect(*seam.sharded, polys[p], bound, hooks).ids)
               << label << " poly " << p;
         }
       }
@@ -155,13 +160,13 @@ TEST_F(ShardServerTest, LoopbackByteMatchesInProcessShardedEverywhere) {
       // Non-point-index plans delegate beneath the seam unchanged.
       ExpectRowsIdentical(
           ExecuteAggregate(*seam.router, join::AggKind::kSum, core::Attr::kFare,
-                           8.0, core::Mode::kAct, hooks),
+                           ErrorBound::Absolute(8.0), core::Mode::kAct, hooks),
           core::ExecuteAggregate(*seam.sharded, join::AggKind::kSum,
                                  core::Attr::kFare, 8.0, core::Mode::kAct, hooks),
           label + " delegated ACT");
       ExpectRowsIdentical(
           ExecuteAggregate(*seam.router, join::AggKind::kCount, core::Attr::kNone,
-                           0.0, core::Mode::kExact, hooks),
+                           ErrorBound::Absolute(0.0), core::Mode::kExact, hooks),
           core::ExecuteAggregate(*seam.sharded, join::AggKind::kCount,
                                  core::Attr::kNone, 0.0, core::Mode::kExact, hooks),
           label + " delegated exact");
@@ -188,13 +193,14 @@ TEST_F(ShardServerTest, ZeroSurvivingShardsAnswersZeroAcrossTheSeam) {
       raster::HierarchicalRaster::BuildEpsilon(far_poly, base->grid, 8.0);
   ASSERT_TRUE(seam.sharded->SurvivingShards(hr).empty());
 
-  const join::ResultRange got = ExecuteCountInPolygon(*seam.router, far_poly, 8.0);
+  const ErrorBound bound = ErrorBound::Absolute(8.0);
+  const join::ResultRange got = ExecuteCount(*seam.router, far_poly, bound).range;
   const join::ResultRange want = core::ExecuteCountInPolygon(*base, far_poly, 8.0);
   EXPECT_EQ(got.estimate, want.estimate);
   EXPECT_EQ(got.lo, want.lo);
   EXPECT_EQ(got.hi, want.hi);
   EXPECT_EQ(got.estimate, 0.0);
-  EXPECT_TRUE(ExecuteSelectInPolygon(*seam.router, far_poly, 8.0).empty());
+  EXPECT_TRUE(ExecuteSelect(*seam.router, far_poly, bound).ids.empty());
   // No messages at all crossed the transport for the empty scatter set.
   EXPECT_EQ(seam.transport->stats().messages, 0u);
 }
@@ -207,23 +213,22 @@ TEST_F(ShardServerTest, TransportServiceByteMatchesUnshardedEngine) {
   engine.SetPoints(data::PointSet(*base_->points));
   engine.SetRegions(data::RegionSet(*base_->regions));
 
-  std::vector<Request> workload;
+  std::vector<Submission> workload;
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);
   for (const double eps : {4.0, 8.0}) {
-    workload.push_back(Request::MakeAggregate(join::AggKind::kCount,
-                                              core::Attr::kNone, eps,
-                                              core::Mode::kPointIndex));
-    workload.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kFare,
-                                              eps, core::Mode::kPointIndex));
-    workload.push_back(Request::MakeCount(star, eps));
-    workload.push_back(Request::MakeCount(corner, eps));
-    workload.push_back(Request::MakeSelect(star, eps));
+    workload.push_back({Query::Aggregate(join::AggKind::kCount),
+                        Within(eps, core::Mode::kPointIndex)});
+    workload.push_back({Query::Aggregate(join::AggKind::kSum, core::Attr::kFare),
+                        Within(eps, core::Mode::kPointIndex)});
+    workload.push_back({Query::Count(star), Within(eps)});
+    workload.push_back({Query::Count(corner), Within(eps)});
+    workload.push_back({Query::Select(star), Within(eps)});
   }
   // Duplicate through an explicit copy: self-range insert invalidates the
   // source iterators when the vector reallocates (it silently corrupted
   // the duplicated half of earlier versions of this idiom).
-  const std::vector<Request> first_pass = workload;
+  const std::vector<Submission> first_pass = workload;
   workload.insert(workload.end(), first_pass.begin(), first_pass.end());
 
   ServiceOptions options;
@@ -234,34 +239,31 @@ TEST_F(ShardServerTest, TransportServiceByteMatchesUnshardedEngine) {
   ASSERT_NE(service.sharded(), nullptr);
   ASSERT_EQ(service.num_shard_servers(), 8u);
 
-  for (const Request& req : workload) service.Submit(req);
-  const std::vector<Response> responses = service.DrainResponses();
-  ASSERT_EQ(responses.size(), workload.size());
+  for (const Submission& sub : workload) service.Submit(sub.query, sub.options);
+  const std::vector<Result> results = service.Drain();
+  ASSERT_EQ(results.size(), workload.size());
   EXPECT_GT(service.transport_stats().messages, 0u);
 
-  for (size_t i = 0; i < responses.size(); ++i) {
-    const Request& req = workload[i];
-    const Response& got = responses[i];
-    ASSERT_TRUE(got.ok()) << got.error;
-    switch (req.kind) {
-      case Request::Kind::kAggregate: {
+  for (size_t i = 0; i < results.size(); ++i) {
+    const Submission& sub = workload[i];
+    const Result& got = results[i];
+    ASSERT_TRUE(got.ok()) << got.status.ToString();
+    const double eps = sub.options.bound.epsilon;
+    sub.query.Visit([&](const auto& spec) {
+      using Spec = std::decay_t<decltype(spec)>;
+      if constexpr (std::is_same_v<Spec, AggregateSpec>) {
         const core::AggregateAnswer want =
-            engine.Aggregate(req.agg, req.attr, req.epsilon, req.mode);
+            engine.Aggregate(spec.agg, spec.attr, eps, sub.options.mode);
         ExpectRowsIdentical(got.aggregate, want, "request " + std::to_string(i));
-        break;
-      }
-      case Request::Kind::kCountInPolygon: {
-        const join::ResultRange want = engine.CountInPolygon(req.poly, req.epsilon);
+      } else if constexpr (std::is_same_v<Spec, CountSpec>) {
+        const join::ResultRange want = engine.CountInPolygon(spec.poly, eps);
         EXPECT_EQ(got.range.estimate, want.estimate) << "request " << i;
         EXPECT_EQ(got.range.lo, want.lo) << "request " << i;
         EXPECT_EQ(got.range.hi, want.hi) << "request " << i;
-        break;
+      } else {
+        EXPECT_EQ(got.ids, engine.SelectInPolygon(spec.poly, eps)) << "request " << i;
       }
-      case Request::Kind::kSelectInPolygon:
-        EXPECT_EQ(got.ids, engine.SelectInPolygon(req.poly, req.epsilon))
-            << "request " << i;
-        break;
-    }
+    });
   }
 
   // The duplicated half was served by reference: at least one shard
@@ -507,16 +509,15 @@ TEST_F(ShardServerTest, WarmCacheWarmsOnlyRoutedRegionsPerShard) {
 }
 
 TEST_F(ShardServerTest, WarmAndColdResultsByteIdentical) {
-  std::vector<Request> workload;
+  std::vector<Submission> workload;
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   for (const double eps : {4.0, 8.0}) {
-    workload.push_back(Request::MakeAggregate(join::AggKind::kCount,
-                                              core::Attr::kNone, eps,
-                                              core::Mode::kPointIndex));
-    workload.push_back(Request::MakeAggregate(join::AggKind::kSum, core::Attr::kFare,
-                                              eps, core::Mode::kPointIndex));
-    workload.push_back(Request::MakeCount(star, eps));
-    workload.push_back(Request::MakeSelect(star, eps));
+    workload.push_back({Query::Aggregate(join::AggKind::kCount),
+                        Within(eps, core::Mode::kPointIndex)});
+    workload.push_back({Query::Aggregate(join::AggKind::kSum, core::Attr::kFare),
+                        Within(eps, core::Mode::kPointIndex)});
+    workload.push_back({Query::Count(star), Within(eps)});
+    workload.push_back({Query::Select(star), Within(eps)});
   }
 
   for (const size_t k : {size_t{1}, size_t{2}, size_t{7}}) {
@@ -531,20 +532,21 @@ TEST_F(ShardServerTest, WarmAndColdResultsByteIdentical) {
       warm.WarmCache(4.0);
       warm.WarmCache(8.0);
 
-      for (const Request& req : workload) {
-        cold.Submit(req);
-        warm.Submit(req);
+      for (const Submission& sub : workload) {
+        cold.Submit(sub.query, sub.options);
+        warm.Submit(sub.query, sub.options);
       }
-      const std::vector<Response> cold_responses = cold.DrainResponses();
-      const std::vector<Response> warm_responses = warm.DrainResponses();
-      ASSERT_EQ(cold_responses.size(), workload.size());
-      ASSERT_EQ(warm_responses.size(), workload.size());
+      const std::vector<Result> cold_results = cold.Drain();
+      const std::vector<Result> warm_results = warm.Drain();
+      ASSERT_EQ(cold_results.size(), workload.size());
+      ASSERT_EQ(warm_results.size(), workload.size());
       const std::string label =
           "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
       for (size_t i = 0; i < workload.size(); ++i) {
-        const Response& c = cold_responses[i];
-        const Response& w = warm_responses[i];
-        ASSERT_TRUE(c.ok() && w.ok()) << label << " " << c.error << w.error;
+        const Result& c = cold_results[i];
+        const Result& w = warm_results[i];
+        ASSERT_TRUE(c.ok() && w.ok()) << label << " " << c.status.ToString() << " "
+                                      << w.status.ToString();
         ExpectRowsIdentical(w.aggregate, c.aggregate,
                             label + " request " + std::to_string(i));
         EXPECT_EQ(w.range.estimate, c.range.estimate) << label << " request " << i;

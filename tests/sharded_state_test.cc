@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/dbsa.h"
@@ -26,6 +27,8 @@ namespace {
 
 using dbsa::testing::MakeRectPolygon;
 using dbsa::testing::MakeStarPolygon;
+using dbsa::testing::Submission;
+using dbsa::testing::Within;
 
 /// Bitwise row comparison (== on doubles — the determinism contract).
 void ExpectRowsIdentical(const AggregateAnswer& got, const AggregateAnswer& want,
@@ -135,13 +138,14 @@ TEST_F(ShardedStateTest, ScatterGatherByteMatchesUnshardedEverywhere) {
 
         // Ad-hoc counts and selections.
         for (size_t p = 0; p < polys.size(); ++p) {
+          const query::ErrorBound bound = query::ErrorBound::Absolute(eps);
           const join::ResultRange got =
-              ExecuteCountInPolygon(*sharded, polys[p], eps, hooks);
+              ExecuteCount(*sharded, polys[p], bound, hooks).range;
           const join::ResultRange want = ExecuteCountInPolygon(*base_, polys[p], eps);
           EXPECT_EQ(got.estimate, want.estimate) << label << " poly " << p;
           EXPECT_EQ(got.lo, want.lo) << label << " poly " << p;
           EXPECT_EQ(got.hi, want.hi) << label << " poly " << p;
-          EXPECT_EQ(ExecuteSelectInPolygon(*sharded, polys[p], eps, hooks),
+          EXPECT_EQ(ExecuteSelect(*sharded, polys[p], bound, hooks).ids,
                     ExecuteSelectInPolygon(*base_, polys[p], eps))
               << label << " poly " << p;
         }
@@ -198,13 +202,14 @@ TEST_F(ShardedStateTest, QueryOutsideEveryShardPrunesToZero) {
       raster::HierarchicalRaster::BuildEpsilon(far_poly, base->grid, 8.0);
   EXPECT_TRUE(sharded->SurvivingShards(hr).empty());
 
-  const join::ResultRange got = ExecuteCountInPolygon(*sharded, far_poly, 8.0);
+  const query::ErrorBound bound = query::ErrorBound::Absolute(8.0);
+  const join::ResultRange got = ExecuteCount(*sharded, far_poly, bound).range;
   const join::ResultRange want = ExecuteCountInPolygon(*base, far_poly, 8.0);
   EXPECT_EQ(got.estimate, want.estimate);
   EXPECT_EQ(got.lo, want.lo);
   EXPECT_EQ(got.hi, want.hi);
   EXPECT_EQ(got.estimate, 0.0);
-  EXPECT_TRUE(ExecuteSelectInPolygon(*sharded, far_poly, 8.0).empty());
+  EXPECT_TRUE(ExecuteSelect(*sharded, far_poly, bound).ids.empty());
 }
 
 TEST_F(ShardedStateTest, ShardedQueryServiceByteMatchesUnshardedEngine) {
@@ -214,21 +219,21 @@ TEST_F(ShardedStateTest, ShardedQueryServiceByteMatchesUnshardedEngine) {
   engine.SetPoints(data::PointSet(*base_->points));
   engine.SetRegions(data::RegionSet(*base_->regions));
 
-  std::vector<service::Request> workload;
+  std::vector<Submission> workload;
   const geom::Polygon star = MakeStarPolygon({2000, 2000}, 400, 900, 16, 11);
   const geom::Polygon corner = MakeRectPolygon(100, 100, 380, 420);
   for (const double eps : {4.0, 8.0}) {
-    workload.push_back(service::Request::MakeAggregate(
-        join::AggKind::kCount, Attr::kNone, eps, Mode::kPointIndex));
-    workload.push_back(service::Request::MakeAggregate(
-        join::AggKind::kSum, Attr::kFare, eps, Mode::kPointIndex));
-    workload.push_back(service::Request::MakeCount(star, eps));
-    workload.push_back(service::Request::MakeCount(corner, eps));
-    workload.push_back(service::Request::MakeSelect(star, eps));
+    workload.push_back({service::Query::Aggregate(join::AggKind::kCount),
+                        Within(eps, Mode::kPointIndex)});
+    workload.push_back({service::Query::Aggregate(join::AggKind::kSum, Attr::kFare),
+                        Within(eps, Mode::kPointIndex)});
+    workload.push_back({service::Query::Count(star), Within(eps)});
+    workload.push_back({service::Query::Count(corner), Within(eps)});
+    workload.push_back({service::Query::Select(star), Within(eps)});
   }
   // Explicit copy: self-range insert invalidates the source iterators on
   // reallocation and used to corrupt the duplicated half.
-  const std::vector<service::Request> first_pass = workload;
+  const std::vector<Submission> first_pass = workload;
   workload.insert(workload.end(), first_pass.begin(), first_pass.end());
 
   service::ServiceOptions options;
@@ -238,32 +243,30 @@ TEST_F(ShardedStateTest, ShardedQueryServiceByteMatchesUnshardedEngine) {
   ASSERT_NE(service.sharded(), nullptr);
   ASSERT_EQ(service.sharded()->num_shards(), 8u);
 
-  for (const service::Request& req : workload) service.Submit(req);
-  const std::vector<service::Response> responses = service.DrainResponses();
-  ASSERT_EQ(responses.size(), workload.size());
+  for (const Submission& sub : workload) service.Submit(sub.query, sub.options);
+  const std::vector<service::Result> results = service.Drain();
+  ASSERT_EQ(results.size(), workload.size());
 
-  for (size_t i = 0; i < responses.size(); ++i) {
-    const service::Request& req = workload[i];
-    const service::Response& got = responses[i];
-    switch (req.kind) {
-      case service::Request::Kind::kAggregate: {
+  for (size_t i = 0; i < results.size(); ++i) {
+    const Submission& sub = workload[i];
+    const service::Result& got = results[i];
+    ASSERT_TRUE(got.ok()) << "request " << i << ": " << got.status.ToString();
+    const double eps = sub.options.bound.epsilon;
+    sub.query.Visit([&](const auto& spec) {
+      using Spec = std::decay_t<decltype(spec)>;
+      if constexpr (std::is_same_v<Spec, service::AggregateSpec>) {
         const AggregateAnswer want =
-            engine.Aggregate(req.agg, req.attr, req.epsilon, req.mode);
+            engine.Aggregate(spec.agg, spec.attr, eps, sub.options.mode);
         ExpectRowsIdentical(got.aggregate, want, "request " + std::to_string(i));
-        break;
-      }
-      case service::Request::Kind::kCountInPolygon: {
-        const join::ResultRange want = engine.CountInPolygon(req.poly, req.epsilon);
+      } else if constexpr (std::is_same_v<Spec, service::CountSpec>) {
+        const join::ResultRange want = engine.CountInPolygon(spec.poly, eps);
         EXPECT_EQ(got.range.estimate, want.estimate) << "request " << i;
         EXPECT_EQ(got.range.lo, want.lo) << "request " << i;
         EXPECT_EQ(got.range.hi, want.hi) << "request " << i;
-        break;
+      } else {
+        EXPECT_EQ(got.ids, engine.SelectInPolygon(spec.poly, eps)) << "request " << i;
       }
-      case service::Request::Kind::kSelectInPolygon:
-        EXPECT_EQ(got.ids, engine.SelectInPolygon(req.poly, req.epsilon))
-            << "request " << i;
-        break;
-    }
+    });
   }
 }
 

@@ -1,13 +1,16 @@
 // Shared helpers for the dbsa test suite: deterministic random geometry
-// generators used by the property tests.
+// generators used by the property tests, and the v2-envelope submission
+// the serving tests build their workloads from.
 
 #ifndef DBSA_TESTS_TEST_UTIL_H_
 #define DBSA_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "geom/polygon.h"
+#include "service/query.h"
 #include "util/random.h"
 
 namespace dbsa::testing {
@@ -70,6 +73,21 @@ inline std::vector<geom::Point> RandomPoints(const geom::Box& box, size_t n,
     pts.push_back({rng.Uniform(box.min.x, box.max.x), rng.Uniform(box.min.y, box.max.y)});
   }
   return pts;
+}
+
+/// One envelope submission: the descriptor plus its contract.
+struct Submission {
+  service::Query query;
+  service::ExecOptions options;
+  std::string label = {};  ///< Names the case in failure messages.
+};
+
+/// Options for an absolute distance bound of `eps` (0 = exact).
+inline service::ExecOptions Within(double eps, core::Mode mode = core::Mode::kAuto) {
+  service::ExecOptions options;
+  options.bound = query::ErrorBound::Absolute(eps);
+  options.mode = mode;
+  return options;
 }
 
 }  // namespace dbsa::testing
